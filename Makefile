@@ -61,12 +61,11 @@ shardcheck:
 # survives being killed mid-segment and crashing inside its own gate
 # crossing (both shards repair online and the migration resumes), the
 # batch plane keeps positional alignment when one shard's crossing fails,
-# the resized manifest wins over a stale config on reopen, and the
-# hot-key tracker's decay/floor/demotion fixes hold — all under the race
-# detector.
+# and the resized manifest wins over a stale config on reopen — all under
+# the race detector.
 reshardcheck:
 	$(GO) test -race -count=1 -short -run 'TestModelCheckResize|TestResizeCrashIsolation|TestClusterReopenAfterResize' .
-	$(GO) test -race -count=1 -run 'TestHotTracker|TestClusterHotKey|TestClusterExecBatchShardFailure' ./memcached
+	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure' ./memcached
 	$(GO) test -race -count=1 ./internal/ring
 
 # The shard-lifecycle gate (DESIGN.md §16): an unrepairable crash poisons

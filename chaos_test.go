@@ -128,9 +128,14 @@ func TestChaosKillsNeverCorrupt(t *testing.T) {
 		if book.Library().Poisoned() {
 			t.Fatalf("wave %d: library poisoned by client kills", wave)
 		}
+		// Check requires a quiescent heap, and the maintenance loop frees
+		// reclaimed items onto the free lists it walks: pause the loop
+		// for the fsck.
+		book.StopMaintenance()
 		if _, err := book.Allocator().Check(); err != nil {
 			t.Fatalf("wave %d: heap fsck failed: %v", wave, err)
 		}
+		book.StartMaintenance(5 * time.Millisecond)
 		verifier, err := book.NewClientProcess(9000 + wave)
 		if err != nil {
 			t.Fatal(err)

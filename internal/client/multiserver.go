@@ -1,89 +1,39 @@
 package client
 
 import (
-	"crypto/md5"
-	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
+
+	"plibmc/internal/ring"
 )
 
 // Multi-server support: libmemcached distributes keys across a server list
-// with consistent (ketama) hashing, so that adding or removing a server
+// with consistent hashing, so that adding a server at the end of the list
 // remaps only ~1/n of the key space. This is the client-side half of how
 // memcached scales out in a data center — and exactly the part that still
 // matters in the paper's hybrid deployment, where remote clients keep using
-// sockets while local ones use the protected library.
-
-// ketamaPointsPerServer matches libmemcached (100 points × 4 hashes).
-const ketamaPointsPerServer = 100
-
-// Ring is a consistent-hash ring over a set of servers.
-type Ring struct {
-	points []ringPoint
-	names  []string
-}
-
-type ringPoint struct {
-	hash   uint32
-	server int // index into names
-}
-
-// NewRing builds a ketama ring from "host:port" (or "unix:path") names.
-func NewRing(servers []string) (*Ring, error) {
-	if len(servers) == 0 {
-		return nil, fmt.Errorf("client: ring needs at least one server")
-	}
-	r := &Ring{names: append([]string(nil), servers...)}
-	for si, name := range r.names {
-		for p := 0; p < ketamaPointsPerServer; p++ {
-			sum := md5.Sum([]byte(fmt.Sprintf("%s-%d", name, p)))
-			for h := 0; h < 4; h++ {
-				r.points = append(r.points, ringPoint{
-					hash:   binary.LittleEndian.Uint32(sum[h*4:]),
-					server: si,
-				})
-			}
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	return r, nil
-}
-
-// Servers returns the ring's server names.
-func (r *Ring) Servers() []string { return append([]string(nil), r.names...) }
-
-// Pick returns the index of the server responsible for key.
-func (r *Ring) Pick(key []byte) int {
-	h := ketamaHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].server
-}
-
-func ketamaHash(key []byte) uint32 {
-	sum := md5.Sum(key)
-	return binary.LittleEndian.Uint32(sum[:4])
-}
+// sockets while local ones use the protected library. Placement uses the
+// same ring as the cluster's shards (internal/ring): server i of the list
+// is shard i.
 
 // MultiClient is a client over several servers with consistent hashing:
 // the memcached_st with a populated server list. Like Client, it is not
 // safe for concurrent use.
 type MultiClient struct {
-	ring  *Ring
+	ring  *ring.Ring
+	names []string
 	conns []*Client
 }
 
 // DialMulti connects to every server in the list. Each entry is
 // "network:address", e.g. "unix:/tmp/a.sock" or "tcp:127.0.0.1:11211".
 func DialMulti(servers []string, proto Protocol) (*MultiClient, error) {
-	ring, err := NewRing(servers)
+	r, err := ring.New(len(servers), 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	mc := &MultiClient{ring: ring, conns: make([]*Client, len(servers))}
+	mc := &MultiClient{ring: r, names: append([]string(nil), servers...),
+		conns: make([]*Client, len(servers))}
 	for i, s := range servers {
 		network, addr, ok := strings.Cut(s, ":")
 		if !ok {
@@ -116,10 +66,10 @@ func (mc *MultiClient) Close() error {
 
 // ServerFor reports which server name owns key (for tests and diagnostics).
 func (mc *MultiClient) ServerFor(key []byte) string {
-	return mc.ring.names[mc.ring.Pick(key)]
+	return mc.names[mc.ring.Shard(key)]
 }
 
-func (mc *MultiClient) conn(key []byte) *Client { return mc.conns[mc.ring.Pick(key)] }
+func (mc *MultiClient) conn(key []byte) *Client { return mc.conns[mc.ring.Shard(key)] }
 
 // Get fetches key from its owning server.
 func (mc *MultiClient) Get(key []byte) ([]byte, uint32, uint64, error) {
@@ -145,14 +95,14 @@ func (mc *MultiClient) Increment(key []byte, delta uint64) (uint64, error) {
 func (mc *MultiClient) MGet(keys [][]byte) (map[string][]byte, error) {
 	groups := make(map[int][][]byte)
 	for _, k := range keys {
-		si := mc.ring.Pick(k)
+		si := mc.ring.Shard(k)
 		groups[si] = append(groups[si], k)
 	}
 	out := make(map[string][]byte, len(keys))
 	for si, group := range groups {
 		part, err := mc.conns[si].MGet(group)
 		if err != nil {
-			return nil, fmt.Errorf("client: mget on %s: %w", mc.ring.names[si], err)
+			return nil, fmt.Errorf("client: mget on %s: %w", mc.names[si], err)
 		}
 		for k, v := range part {
 			out[k] = v

@@ -124,7 +124,7 @@ func (c *Ctx) newItem(key, value []byte, hash uint64, flags uint32, exptime int6
 		return 0, err
 	}
 	h := c.s.H
-	ralloc.StorePptr(h, it+itHNext, 0)
+	ralloc.RelaxedStorePptr(h, it+itHNext, 0) // first word: see ralloc's free lists
 	ralloc.StorePptr(h, it+itLRUNext, 0)
 	ralloc.StorePptr(h, it+itLRUPrev, 0)
 	h.Store64(it+itRefcount, 1) // the link reference

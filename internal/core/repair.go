@@ -335,7 +335,7 @@ func (s *Store) Repair(c *Ctx) (RepairReport, error) {
 	for _, it := range order {
 		hash := s.itemHash(it)
 		bucket := newT + (hash&newMask)*8
-		ralloc.StorePptr(h, it+itHNext, ralloc.LoadPptr(h, bucket))
+		ralloc.RelaxedStorePptr(h, it+itHNext, ralloc.LoadPptr(h, bucket))
 		ralloc.StorePptr(h, bucket, it)
 		h.Store64(it+itRefcount, 1) // exactly the link reference
 		s.setLinked(it, true)

@@ -22,6 +22,13 @@ var (
 // the multi-chunk large path, which takes a spinlock because it must find
 // contiguous chunks (large allocations are rare in memcached — hash tables
 // and little else).
+//
+// A pop reads the first word of the head block, and by then another thread
+// may already have popped that block and be writing it. The tagged-head
+// CAS discards such a stale read, so the race is benign, but the word is
+// shared: pop's read, every write of a link word, and core's writes of an
+// item's first word (its hash-chain link) use the Relaxed heap accessors
+// (plain in normal builds, atomic under the race detector).
 
 const (
 	tagShift = 48
@@ -38,7 +45,7 @@ func (a *Allocator) pushChain(ci int, first, last uint64) {
 	headAddr := offClassHead + uint64(ci)*8
 	for {
 		old := a.h.AtomicLoad64(headAddr)
-		a.h.Store64(last, headOff(old))
+		a.h.RelaxedStore64(last, headOff(old))
 		if a.h.CAS64(headAddr, old, packHead(headTag(old)+1, first)) {
 			return
 		}
@@ -55,7 +62,7 @@ func (a *Allocator) pop(ci int) uint64 {
 		if off == 0 {
 			return 0
 		}
-		next := a.h.Load64(off)
+		next := a.h.RelaxedLoad64(off)
 		if a.h.CAS64(headAddr, old, packHead(headTag(old)+1, next)) {
 			return off
 		}
@@ -76,9 +83,9 @@ func (a *Allocator) carveChunk(ci int) (first, last, count uint64) {
 	n := uint64(ChunkSize) / size
 	// Link the blocks front to back through their first words.
 	for i := uint64(0); i < n-1; i++ {
-		a.h.Store64(base+i*size, base+(i+1)*size)
+		a.h.RelaxedStore64(base+i*size, base+(i+1)*size)
 	}
-	a.h.Store64(base+(n-1)*size, 0)
+	a.h.RelaxedStore64(base+(n-1)*size, 0)
 	return base, base + (n-1)*size, n
 }
 
@@ -227,11 +234,17 @@ func (c *Cache) spill(class int) {
 	l := c.lists[class]
 	half := l[:len(l)/2]
 	c.lists[class] = append([]uint64(nil), l[len(l)/2:]...)
-	for i := 0; i < len(half)-1; i++ {
-		c.a.h.Store64(half[i], half[i+1])
+	c.a.pushBlocks(class, half)
+}
+
+// pushBlocks links blocks through their first words and pushes them onto
+// class ci's global free list as one chain.
+func (a *Allocator) pushBlocks(ci int, blocks []uint64) {
+	for i := 0; i < len(blocks)-1; i++ {
+		a.h.RelaxedStore64(blocks[i], blocks[i+1])
 	}
-	c.a.h.Store64(half[len(half)-1], 0)
-	c.a.pushChain(class, half[0], half[len(half)-1])
+	a.h.RelaxedStore64(blocks[len(blocks)-1], 0)
+	a.pushChain(ci, blocks[0], blocks[len(blocks)-1])
 }
 
 // Flush returns every cached block to the global free lists. Call it when
@@ -242,11 +255,7 @@ func (c *Cache) Flush() {
 		if len(l) == 0 {
 			continue
 		}
-		for i := 0; i < len(l)-1; i++ {
-			c.a.h.Store64(l[i], l[i+1])
-		}
-		c.a.h.Store64(l[len(l)-1], 0)
-		c.a.pushChain(class, l[0], l[len(l)-1])
+		c.a.pushBlocks(class, l)
 		c.lists[class] = nil
 	}
 }

@@ -45,6 +45,17 @@ func AtomicLoadPptr(h *shm.Heap, at uint64) uint64 {
 	return uint64(int64(at) + int64(d))
 }
 
+// RelaxedStorePptr is StorePptr through the relaxed heap accessor, for a
+// block's first word, which a stale free-list pop may still be reading
+// (see the free-list comment in alloc.go).
+func RelaxedStorePptr(h *shm.Heap, at, target uint64) {
+	if target == 0 {
+		h.RelaxedStore64(at, 0)
+		return
+	}
+	h.RelaxedStore64(at, uint64(int64(target)-int64(at)))
+}
+
 // AtomicStorePptr is StorePptr with an atomic write of the distance word.
 func AtomicStorePptr(h *shm.Heap, at, target uint64) {
 	if target == 0 {

@@ -410,7 +410,7 @@ func TestConcurrentAllocFree(t *testing.T) {
 				}
 				// Stamp the block and verify ownership later: catches
 				// double-allocation across workers.
-				h.Store64(off, id<<32|uint64(i))
+				h.RelaxedStore64(off, id<<32|uint64(i))
 				mine = append(mine, off)
 				if len(mine) > 64 {
 					victim := mine[0]

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"plibmc/internal/client"
+	"plibmc/internal/protocol"
 )
 
 func newTestCluster(t testing.TB, shards int, cfg ClusterConfig) *Cluster {
@@ -319,58 +321,83 @@ func TestClusterExecBatchMixed(t *testing.T) {
 	}
 }
 
-// Hot-key detection promotes a heavily-read key, replicates it to the
-// sibling shard, and writes invalidate the replica.
-func TestClusterHotKeyReplication(t *testing.T) {
-	c := newTestCluster(t, 4, ClusterConfig{HotKeyThreshold: 50})
+// A key read often enough to look hot must still expire on schedule and
+// hand out CAS tokens its owning shard accepts, through every front door:
+// ClusterSession, the ASCII proxy and the binary proxy. Any read cache put
+// in front of the shards has to keep both rules.
+func TestClusterGetRespectsTTL(t *testing.T) {
+	var now atomic.Int64
+	now.Store(10_000_000)
+	c := newTestCluster(t, 4, ClusterConfig{Clock: now.Load})
 	s := newClusterSession(t, c)
-
-	hot := []byte("celebrity")
-	if err := s.Set(hot, []byte("v1"), 9, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if v, f, err := s.Get(hot); err != nil || string(v) != "v1" || f != 9 {
-			t.Fatalf("hot get #%d = %q %d %v", i, v, f, err)
-		}
-	}
-	m := c.Metrics()
-	if m.HotKey.Detected == 0 {
-		t.Fatal("hot key never detected")
-	}
-	if m.HotKey.Replications == 0 {
-		t.Fatal("hot key never replicated")
-	}
-	if m.HotKey.ReplicaHits == 0 {
-		t.Fatal("replica never served a read")
-	}
-	// The replica shard physically holds a copy.
-	primary := c.ShardFor(hot)
-	replica := c.replicaOf(primary)
-	if v, _, err := s.Session(replica).Get(hot); err != nil || string(v) != "v1" {
-		t.Fatalf("replica copy = %q %v", v, err)
-	}
-	// A write invalidates the replica and readers see the new value.
-	if err := s.Set(hot, []byte("v2"), 9, 0); err != nil {
-		t.Fatal(err)
-	}
-	if c.Metrics().HotKey.Invalidations == 0 {
-		t.Fatal("write did not invalidate the replica")
-	}
-	for i := 0; i < 50; i++ {
-		if v, _, err := s.Get(hot); err != nil || string(v) != "v2" {
-			t.Fatalf("post-write hot get = %q %v", v, err)
-		}
-	}
-	// Gets (CAS reads) bypass the replica: its CAS must validate against
-	// the primary.
-	_, _, cas, err := s.Gets(hot)
+	srv, err := c.ServeRemote("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CAS(hot, []byte("v3"), 9, 0, cas); err != nil {
-		t.Fatalf("cas after hot reads: %v", err)
+	t.Cleanup(srv.Close) // after the clients' cleanups: Close waits for connections
+	dial := func(proto client.Protocol) *client.Client {
+		cl, err := client.Dial("tcp", srv.Addr().String(), proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
 	}
+	ascii, binary := dial(client.ASCII), dial(client.Binary)
+	// The wire client reports a miss as an error naming the status.
+	wireGet := func(cl *client.Client) func([]byte) ([]byte, error) {
+		return func(k []byte) ([]byte, error) {
+			v, _, _, err := cl.Get(k)
+			if err != nil && strings.HasSuffix(err.Error(), protocol.StatusKeyNotFound.String()) {
+				err = ErrNotFound
+			}
+			return v, err
+		}
+	}
+	doors := []struct {
+		name string
+		get  func([]byte) ([]byte, error)
+	}{
+		{"session", func(k []byte) ([]byte, error) { v, _, err := s.Get(k); return v, err }},
+		{"ascii", wireGet(ascii)},
+		{"binary", wireGet(binary)},
+	}
+	for _, d := range doors {
+		t.Run(d.name, func(t *testing.T) {
+			key := []byte("ttl-" + d.name)
+			if err := s.Set(key, []byte("v1"), 0, 10); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				if v, err := d.get(key); err != nil || string(v) != "v1" {
+					t.Fatalf("get #%d = %q %v", i, v, err)
+				}
+			}
+			now.Add(3600)
+			if v, err := d.get(key); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("get after expiry = %q %v, want a miss", v, err)
+			}
+		})
+	}
+	t.Run("binary-cas", func(t *testing.T) {
+		key := []byte("cas-read-often")
+		if err := s.Set(key, []byte("v1"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		var cas uint64
+		for i := 0; i < 200; i++ {
+			var err error
+			if _, _, cas, err = binary.Get(key); err != nil {
+				t.Fatalf("get #%d: %v", i, err)
+			}
+		}
+		if err := binary.CAS(key, []byte("v2"), 0, 0, cas); err != nil {
+			t.Fatalf("cas with a token from a read: %v", err)
+		}
+		if v, _, err := s.Get(key); err != nil || string(v) != "v2" {
+			t.Fatalf("after cas get = %q %v", v, err)
+		}
+	})
 }
 
 // Shards persist and reload independently: Create → populate → Shutdown →
@@ -417,11 +444,8 @@ func TestClusterMetricsSamples(t *testing.T) {
 	cm := c.Metrics()
 	samples := cm.Samples()
 	want := map[string]bool{
-		"plibmc_shard_ops_total":            false,
-		"plibmc_shard_state":                false,
-		"plibmc_hotkey_detected_total":      false,
-		"plibmc_hotkey_replica_hits_total":  false,
-		"plibmc_hotkey_invalidations_total": false,
+		"plibmc_shard_ops_total": false,
+		"plibmc_shard_state":     false,
 	}
 	shardLabels := map[string]bool{}
 	for _, smp := range samples {
@@ -528,8 +552,8 @@ func TestClusterProxyWire(t *testing.T) {
 
 // BenchmarkClusterRouting pins the routing tier's per-op overhead: the
 // same single-session 95/5 Get/Set mix against one store driven directly
-// and against a 4-shard cluster (ring lookup + per-shard dispatch + the
-// write-path hot-key check). The delta is the price of sharding when the
+// and against a 4-shard cluster (ring lookup + breaker admission +
+// per-shard dispatch). The delta is the price of sharding when the
 // parallelism it buys is not in play.
 func BenchmarkClusterRouting(b *testing.B) {
 	const nKeys = 4096

@@ -95,6 +95,10 @@ func (rs *RemoteServer) handle(c net.Conn) {
 		cmds = cmds[:0]
 		cmd, err := readCmd()
 		if err != nil {
+			if !isBinary {
+				fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", err)
+				w.Flush()
+			}
 			return
 		}
 		quit := cmd.Op == protocol.OpQuit
@@ -115,6 +119,9 @@ func (rs *RemoteServer) handle(c net.Conn) {
 			}
 		}
 		dispatchPipeline(ctx, w, isBinary, cmds)
+		if readErr != nil && !isBinary {
+			fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", readErr)
+		}
 		if quit || readErr != nil {
 			w.Flush()
 			return

@@ -492,6 +492,51 @@ func TestHybridPipelineBatches(t *testing.T) {
 	}
 }
 
+// A malformed ASCII line gets a CLIENT_ERROR reply before the hybrid
+// server closes the connection, like the cluster proxy, whether it is the
+// first command or arrives behind a valid one in the same pipeline.
+func TestHybridMalformedLineReplies(t *testing.T) {
+	b := newTestStore(t)
+	sock := filepath.Join(t.TempDir(), "malformed.sock")
+	rs, err := b.ServeRemote("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	for _, tc := range []struct {
+		name, send string
+		want       []string
+	}{
+		{"first", "set k 4294967296 0 1\r\nv\r\n", []string{"CLIENT_ERROR "}},
+		{"pipelined", "set pa 0 0 2\r\nv1\r\nset k 4294967296 0 1\r\nv\r\n", []string{"STORED", "CLIENT_ERROR "}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := net.Dial("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := c.Write([]byte(tc.send)); err != nil {
+				t.Fatal(err)
+			}
+			r := bufio.NewReader(c)
+			for i, w := range tc.want {
+				line, err := r.ReadString('\n')
+				if err != nil {
+					t.Fatalf("reply %d: %v (want prefix %q)", i, err, w)
+				}
+				if !strings.HasPrefix(line, w) {
+					t.Fatalf("reply %d = %q, want prefix %q", i, line, w)
+				}
+			}
+			if line, err := r.ReadString('\n'); err == nil {
+				t.Fatalf("connection stayed open after the malformed line: %q", line)
+			}
+		})
+	}
+}
+
 func TestConcurrentSessionsManyProcesses(t *testing.T) {
 	b, err := CreateStore(Config{HeapBytes: 64 << 20, HashPower: 12, NumItemLocks: 256})
 	if err != nil {

@@ -39,8 +39,7 @@ import (
 // history linearizable across segment cutovers: a key is served by its
 // old shard until its segment's final recopy completes under the
 // exclusive guard, and by its new shard after — never neither, never
-// both. FlushAll stays excluded and hot keys stay off, as in the
-// steady-state sharded run.
+// both. FlushAll stays excluded, as in the steady-state sharded run.
 func TestModelCheckResize(t *testing.T) {
 	opBudget := *modelcheckOps
 	if testing.Short() {
